@@ -14,9 +14,11 @@ in ``core/`` anywhere else — and keeps them alive across calls:
   the pool (a broken executor cannot be reused), letting the owning
   session tear down its shared-memory export instead of leaking it.
 * Every live pool is registered for :func:`shutdown_pools`, which runs
-  at interpreter exit (``atexit``) and may be called explicitly; owners
-  can attach close hooks (the mining session unlinks its shared-memory
-  segment from one).
+  at interpreter exit and may be called explicitly; owners can attach
+  close hooks (the mining session unlinks its shared-memory segment
+  from one).  At exit, a worker that outlives a short grace period is
+  terminated: a worker forked while another thread held a lock never
+  exits on its own, and ``concurrent.futures`` would join it forever.
 
 Lifecycle policy is the *owner's* job: :mod:`repro.core.parallel` keys
 mining sessions by index identity/epoch and tears them down via
@@ -26,8 +28,9 @@ build keeps one generic pool per (workers, start-method).
 
 from __future__ import annotations
 
-import atexit
 import os
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable
@@ -37,8 +40,18 @@ from repro.errors import ParallelExecutionError, ReproError
 #: Environment override for the multiprocessing start method.
 START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
 
-#: Every WorkerPool not yet closed, for shutdown_pools()/atexit.
+#: Every WorkerPool not yet closed, for shutdown_pools() and the exit hook.
 _LIVE_POOLS: list["WorkerPool"] = []
+
+#: Worker processes of closed pools, until the exit hook has reaped them.
+_CLOSED_WORKERS: list[Any] = []
+
+#: The process whose pools these are; forked children inherit the module.
+_OWNER_PID = os.getpid()
+
+#: Seconds the exit hook waits for closed pools' workers before
+#: terminating them.
+EXIT_GRACE_S = 2.0
 
 
 def mp_context():
@@ -143,6 +156,8 @@ class WorkerPool:
         if self.closed:
             return
         self.closed = True
+        _CLOSED_WORKERS[:] = [p for p in _CLOSED_WORKERS if p.is_alive()]
+        _CLOSED_WORKERS.extend((self._executor._processes or {}).values())
         try:
             self._executor.shutdown(wait=False, cancel_futures=True)
         finally:
@@ -164,4 +179,23 @@ def shutdown_pools() -> None:
         pool.close()
 
 
-atexit.register(shutdown_pools)
+def _shutdown_pools_at_exit() -> None:
+    """Close every pool, then terminate workers that miss the grace period.
+
+    Registered as a ``threading`` exit hook so it runs *before*
+    ``concurrent.futures`` joins its manager threads (which in turn join
+    the workers).  Forked children inherit the hook; only the process
+    that owns the pools acts on it.
+    """
+    if os.getpid() != _OWNER_PID:
+        return
+    shutdown_pools()
+    deadline = time.monotonic() + EXIT_GRACE_S
+    for process in _CLOSED_WORKERS:
+        process.join(max(0.0, deadline - time.monotonic()))
+        if process.is_alive():
+            process.terminate()
+    _CLOSED_WORKERS.clear()
+
+
+threading._register_atexit(_shutdown_pools_at_exit)

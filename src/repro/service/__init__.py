@@ -5,8 +5,10 @@ appends without a rebuild — yet a batch CLI re-opens it for every
 query.  This package keeps the index resident instead and serves
 concurrent clients over a tiny length-prefixed JSON protocol:
 
+* :mod:`repro.service.ops` — the op table: each op's admission
+  class, retry safety and serving side, stated once;
 * :mod:`repro.service.protocol` — wire frames (requests, responses,
-  typed errors) plus sync and asyncio codecs;
+  typed errors), the shared reply decoder, and sync and asyncio codecs;
 * :mod:`repro.service.cache` — the epoch-keyed LRU result cache and
   the micro-batcher that coalesces concurrent ``count`` requests into
   one shared-prefix AND pass;
@@ -16,7 +18,8 @@ concurrent clients over a tiny length-prefixed JSON protocol:
 * :mod:`repro.service.server` — the asyncio TCP server: admission
   limits, per-request timeouts, graceful drain on SIGTERM;
 * :mod:`repro.service.client` — the blocking client used by the CLI,
-  the tests, and the CI smoke script;
+  the tests, and the CI smoke script, and the op methods it shares
+  with the retrying client;
 * :mod:`repro.service.resilience` — the retrying idempotent client,
   circuit breaker, and the server-side idempotency token window;
 * :mod:`repro.service.scrubber` — background incremental verification

@@ -44,6 +44,7 @@ from repro.service.cache import (
     MineResultCache,
     canonical_itemset,
 )
+from repro.service.ops import NODE, handler_table
 from repro.service.protocol import ERR_BAD_REQUEST, ERR_NOT_PRIMARY, ERR_QUERY
 from repro.service.replication import (
     MAX_BATCH_RECORDS,
@@ -1200,24 +1201,7 @@ class PatternService:
             self.shutdown_callback()
         return {"draining": True}
 
-    _OPS = {
-        "count": _op_count,
-        "count_batch": _op_count_batch,
-        "append": _op_append,
-        "mine": _op_mine,
-        "job": _op_job,
-        "cancel": _op_cancel,
-        "patterns": _op_patterns,
-        "status": _op_status,
-        "metrics": _op_metrics,
-        "health": _op_health,
-        "recover": _op_recover,
-        "replicate": _op_replicate,
-        "snapshot": _op_snapshot,
-        "snapshot_fetch": _op_snapshot_fetch,
-        "promote": _op_promote,
-        "shutdown": _op_shutdown,
-    }
+    _OPS = handler_table(locals(), NODE)
 
 
 def _serialise_result(result, top: int = 0) -> dict:

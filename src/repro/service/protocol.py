@@ -32,6 +32,10 @@ from dataclasses import dataclass
 
 from repro.errors import (
     ConnectionClosedError,
+    DegradedError,
+    OverloadedError,
+    PartialResultError,
+    ServiceError,
     ServiceProtocolError,
     ServiceTimeoutError,
 )
@@ -209,6 +213,39 @@ def error_frame(
         "ok": False,
         "error": error,
     }
+
+
+def decode_reply(payload: dict, request_id: int) -> dict:
+    """The ``result`` of a response frame to ``request_id``, or its error.
+
+    Error frames raise typed: ``degraded``, ``partial`` and
+    ``overloaded`` (with its ``retry_after``) map to their
+    :class:`~repro.errors.ServiceError` subclasses, every other type to
+    a plain :class:`~repro.errors.ServiceError` carrying it.  An ``id``
+    that is neither ``request_id`` nor ``-1`` (a connection-level
+    error) and a success frame without a result object raise
+    :class:`~repro.errors.ServiceProtocolError`.
+    """
+    frame_id = payload.get("id")
+    if frame_id not in (request_id, -1):
+        raise ServiceProtocolError(
+            f"response id {frame_id!r} does not match request {request_id}"
+        )
+    if payload.get("ok"):
+        result = payload.get("result")
+        if not isinstance(result, dict):
+            raise ServiceProtocolError("success frame carries no result object")
+        return result
+    error = payload.get("error") or {}
+    message = error.get("message", "unspecified server error")
+    error_type = error.get("type", ERR_INTERNAL)
+    if error_type == ERR_DEGRADED:
+        raise DegradedError(message)
+    if error_type == ERR_PARTIAL:
+        raise PartialResultError(message)
+    if error_type == ERR_OVERLOADED:
+        raise OverloadedError(message, retry_after=error.get("retry_after"))
+    raise ServiceError(message, error_type=error_type)
 
 
 def _check_length(length: int) -> None:

@@ -53,7 +53,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.service.client import ServiceClient
-from repro.service.protocol import read_frame, write_frame
+from repro.service.protocol import decode_reply, read_frame, write_frame
 from repro.storage.metrics import IOStats
 from repro.storage.snapshot import SnapshotManifest, assemble_index
 from repro.storage.txfile import (
@@ -318,13 +318,7 @@ class FollowerTailer:
         payload = await read_frame(reader)
         if payload is None:
             raise ConnectionResetError("primary closed the replication feed")
-        if not payload.get("ok"):
-            error = payload.get("error") or {}
-            raise ServiceError(
-                f"replicate refused: {error.get('message', 'unknown error')}",
-                error_type=error.get("type", "internal"),
-            )
-        result = payload["result"]
+        result = decode_reply(payload, request_id)
         state.rounds += 1
         state.upstream_high_water = int(result["high_water_position"])
         for record in result["records"]:

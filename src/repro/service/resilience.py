@@ -39,7 +39,8 @@ from repro.errors import (
     ServiceError,
     ServiceTimeoutError,
 )
-from repro.service.client import ServiceClient
+from repro.service.client import ClientOps, ServiceClient
+from repro.service.ops import is_idempotent
 
 #: Idempotency tokens live in [2**32, 2**63).  The floor keeps them
 #: disjoint from positional transaction ids (small integers counted
@@ -47,18 +48,6 @@ from repro.service.client import ServiceClient
 #: window from the journal: any persisted tid >= 2**32 *is* a token.
 TOKEN_MIN = 1 << 32
 TOKEN_MAX = 1 << 63
-
-#: Operations that are always safe to resend.  ``promote`` qualifies
-#: because promoting an already-primary server is a converging no-op;
-#: the replication reads (``replicate``/``snapshot``/``snapshot_fetch``)
-#: never mutate server state at all.
-IDEMPOTENT_OPS = frozenset(
-    {
-        "count", "count_batch", "status", "metrics", "health", "job",
-        "patterns", "recover", "replicate", "snapshot", "snapshot_fetch",
-        "promote", "shardmap",
-    }
-)
 
 #: Wire error types that describe a transient server condition.
 RETRYABLE_ERROR_TYPES = frozenset({"overloaded", "shutting_down", "timeout"})
@@ -230,13 +219,14 @@ class AIMDLimiter:
             }
 
 
-class RetryingClient:
+class RetryingClient(ClientOps):
     """A reconnecting, retrying, deadline-bound service client.
 
-    Mirrors the :class:`ServiceClient` operation surface; each call is
-    one *logical* operation that may span several attempts over several
-    TCP connections.  Connections are dialled lazily and dropped on any
-    transport failure.
+    Shares the :class:`ClientOps` operation surface with
+    :class:`ServiceClient`; each call is one *logical* operation that
+    may span several attempts over several TCP connections.
+    Connections are dialled lazily and dropped on any transport
+    failure.
     """
 
     def __init__(
@@ -268,12 +258,6 @@ class RetryingClient:
     def close(self) -> None:
         self._drop_connection()
 
-    def __enter__(self) -> "RetryingClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def _drop_connection(self) -> None:
         if self._client is not None:
             try:
@@ -293,15 +277,15 @@ class RetryingClient:
     ) -> dict:
         """One logical operation, retried per the policy.
 
-        ``idempotent`` defaults from the op: reads always, ``append``
-        only when ``args`` carries an idempotency token.  Non-idempotent
-        operations still retry *connect* failures (nothing was sent) but
-        never a failure after the request hit the wire.
+        ``idempotent`` defaults from the op table
+        (:func:`repro.service.ops.is_idempotent`): reads always,
+        ``append`` only when ``args`` carries an idempotency token.
+        Non-idempotent operations still retry *connect* failures
+        (nothing was sent) but never a failure after the request hit
+        the wire.
         """
         if idempotent is None:
-            idempotent = op in IDEMPOTENT_OPS or (
-                op == "append" and bool((args or {}).get("token"))
-            )
+            idempotent = is_idempotent(op, args)
         policy = self.policy
         deadline_ts = time.monotonic() + (
             deadline if deadline is not None else policy.op_deadline
@@ -423,18 +407,6 @@ class RetryingClient:
 
     # -- operations ----------------------------------------------------------
 
-    def count(self, items, *, exact: bool = False) -> dict:
-        return self.request("count", {"items": list(items), "exact": exact})
-
-    def count_batch(self, itemsets, *, exact: bool = False) -> dict:
-        return self.request(
-            "count_batch",
-            {"itemsets": [list(items) for items in itemsets], "exact": exact},
-        )
-
-    def shardmap(self) -> dict:
-        return self.request("shardmap")
-
     def append(self, items, *, token: int | None = None) -> dict:
         """Insert one transaction exactly once, however many retries.
 
@@ -443,84 +415,7 @@ class RetryingClient:
         """
         if token is None:
             token = make_token(self._rng)
-        return self.request(
-            "append", {"items": list(items), "token": token}, idempotent=True
-        )
-
-    def mine(
-        self,
-        min_support,
-        *,
-        algorithm: str = "dfp",
-        max_size: int | None = None,
-        workers: int = 1,
-    ) -> str:
-        # Submitting a job is not idempotent (each submit is a new job);
-        # only connect failures are retried.
-        result = self.request(
-            "mine",
-            {
-                "min_support": min_support,
-                "algorithm": algorithm,
-                "max_size": max_size,
-                "workers": workers,
-            },
-        )
-        return result["job_id"]
-
-    def job(self, job_id: str, *, top: int = 0) -> dict:
-        return self.request("job", {"job_id": job_id, "top": top})
-
-    def wait_for_job(
-        self,
-        job_id: str,
-        *,
-        timeout: float = 60.0,
-        poll_interval: float = 0.05,
-        top: int = 0,
-    ) -> dict:
-        """Poll (with retries per poll) until the job settles."""
-        deadline = time.monotonic() + timeout
-        while True:
-            payload = self.job(job_id, top=top)
-            state = payload["state"]
-            if state == "done":
-                return payload
-            if state in ("error", "cancelled"):
-                raise ServiceError(
-                    f"job {job_id} finished as {state}: "
-                    f"{payload.get('error', 'no result')}",
-                    error_type="query",
-                )
-            if time.monotonic() >= deadline:
-                raise ServiceTimeoutError(
-                    f"job {job_id} still {state} after {timeout}s"
-                )
-            time.sleep(poll_interval)
-
-    def cancel(self, job_id: str) -> dict:
-        return self.request("cancel", {"job_id": job_id})
-
-    def patterns(self, *, top: int = 0) -> dict:
-        return self.request("patterns", {"top": top})
-
-    def status(self) -> dict:
-        return self.request("status")
-
-    def metrics(self) -> dict:
-        return self.request("metrics")
-
-    def health(self) -> dict:
-        return self.request("health")
-
-    def recover(self) -> dict:
-        return self.request("recover")
-
-    def promote(self) -> dict:
-        return self.request("promote")
-
-    def shutdown(self) -> dict:
-        return self.request("shutdown")
+        return super().append(items, token=token)
 
 
 class IdempotencyWindow:

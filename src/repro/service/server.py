@@ -55,6 +55,7 @@ from repro.errors import (
     ServiceTimeoutError,
 )
 from repro.service.handlers import PatternService
+from repro.service.ops import admission_class as classify_op
 from repro.service.protocol import (
     CURRENT_DEADLINE,
     ERR_INTERNAL,
@@ -73,35 +74,6 @@ from repro.service.protocol import (
 DEFAULT_MAX_CONNECTIONS = 64
 DEFAULT_REQUEST_TIMEOUT_S = 30.0
 DEFAULT_WRITE_TIMEOUT_S = 10.0
-
-# -- op classification -------------------------------------------------------
-
-#: Operations that must stay answerable *while* the server sheds load:
-#: an operator locked out of ``status``/``metrics``/``shutdown`` on an
-#: overloaded server cannot diagnose or relieve the overload.  These
-#: bypass the admission queues entirely (they are all cheap and
-#: loop-serialised).
-CONTROL_OPS = frozenset(
-    {"status", "metrics", "health", "shutdown", "recover", "promote", "cancel"}
-)
-MINE_OPS = frozenset({"mine"})
-WRITE_OPS = frozenset({"append"})
-
-
-def classify_op(op: str) -> str:
-    """Map an op name onto an admission class.
-
-    Unknown ops land in ``read`` — they are admitted and then answered
-    ``bad_request`` by the handler, which keeps the error typed rather
-    than conflating "no such op" with "overloaded".
-    """
-    if op in CONTROL_OPS:
-        return "control"
-    if op in MINE_OPS:
-        return "mine"
-    if op in WRITE_OPS:
-        return "write"
-    return "read"
 
 
 @dataclass(frozen=True)

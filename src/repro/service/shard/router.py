@@ -59,7 +59,6 @@ from repro.errors import (
     PartialResultError,
     ReproError,
     ServiceError,
-    ServiceProtocolError,
     ServiceTimeoutError,
 )
 from repro.service.cache import canonical_itemset
@@ -68,11 +67,12 @@ from repro.service.protocol import (
     CURRENT_DEADLINE,
     ERR_BAD_REQUEST,
     ERR_QUERY,
+    decode_reply,
     read_frame,
     write_frame,
 )
+from repro.service.ops import OPS, ROUTER, handler_table, is_idempotent
 from repro.service.resilience import (
-    IDEMPOTENT_OPS,
     RETRYABLE_ERROR_TYPES,
     CircuitBreaker,
     RetryPolicy,
@@ -115,13 +115,6 @@ JOB_POLL_INTERVAL_S = 0.05
 #: cluster.  The whole routed mine stays bounded by ``MINE_DEADLINE_S``.
 MINE_POLL_TIMEOUT_S = 60.0
 MINE_POLL_DEADLINE_S = 120.0
-
-#: Operations the router does not provide.  Storage-coupled ops
-#: (recovery, replication, snapshots) are per-shard concerns — address
-#: the shard server directly.
-UNROUTED_OPS = frozenset(
-    {"recover", "replicate", "snapshot", "snapshot_fetch", "promote"}
-)
 
 
 class ShardUnavailableError(ServiceError):
@@ -208,24 +201,7 @@ class ShardLink:
         payload = await read_frame(self._reader)
         if payload is None:
             raise ConnectionClosedError("connection closed between frames")
-        frame_id = payload.get("id")
-        if frame_id not in (request_id, -1):
-            raise ServiceProtocolError(
-                f"response id {frame_id!r} does not match request {request_id}"
-            )
-        if payload.get("ok"):
-            result = payload.get("result")
-            if not isinstance(result, dict):
-                raise ServiceProtocolError(
-                    "success frame carries no result object"
-                )
-            return result
-        error = payload.get("error") or {}
-        message = error.get("message", "unspecified server error")
-        error_type = error.get("type", "internal")
-        if error_type == "overloaded":
-            raise OverloadedError(message, retry_after=error.get("retry_after"))
-        raise ServiceError(message, error_type=error_type)
+        return decode_reply(payload, request_id)
 
     async def request(
         self,
@@ -244,9 +220,7 @@ class ShardLink:
         is not the same as unreachable).
         """
         if idempotent is None:
-            idempotent = op in IDEMPOTENT_OPS or (
-                op == "append" and bool((args or {}).get("token"))
-            )
+            idempotent = is_idempotent(op, args)
         policy = self.policy
         attempt_ceiling = (
             request_timeout
@@ -457,12 +431,10 @@ def _is_unreachable(exc: Exception) -> bool:
 class ShardRouter:
     """The service object a :class:`PatternServer` serves for a router.
 
-    Routed operations: ``count``, ``append``, ``mine``/``job``/
-    ``cancel``, ``patterns``, ``status``, ``metrics``, ``health``,
-    ``shardmap``, ``shutdown``.  Storage-coupled per-shard ops
-    (``recover``, ``replicate``, ``snapshot``...) are refused with a
-    pointer at the shard — the router holds no storage of its own
-    beyond the persisted :class:`ShardMap`.
+    It answers the ops :mod:`repro.service.ops` marks as served by the
+    router.  Storage-coupled per-shard ops are refused with a pointer
+    at the shard — the router holds no storage of its own beyond the
+    persisted :class:`ShardMap`.
     """
 
     def __init__(
@@ -609,7 +581,7 @@ class ShardRouter:
         # ShardLink in this task reads when stamping shard frames.
         handler = self._OPS.get(op)
         if handler is None:
-            if op in UNROUTED_OPS:
+            if op in OPS:  # known, but served by the shards only
                 raise ServiceError(
                     f"op {op!r} is not routed: it is a per-shard storage "
                     f"operation — address the shard server directly "
@@ -1257,20 +1229,7 @@ class ShardRouter:
             self.shutdown_callback()
         return {"draining": True}
 
-    _OPS = {
-        "count": _op_count,
-        "count_batch": _op_count_batch,
-        "append": _op_append,
-        "mine": _op_mine,
-        "job": _op_job,
-        "cancel": _op_cancel,
-        "patterns": _op_patterns,
-        "status": _op_status,
-        "metrics": _op_metrics,
-        "health": _op_health,
-        "shardmap": _op_shardmap,
-        "shutdown": _op_shutdown,
-    }
+    _OPS = handler_table(locals(), ROUTER)
 
 
 def _itemsets_arg(args: dict) -> list[tuple]:

@@ -35,6 +35,7 @@ any fixed seed replays the same schedule byte-for-byte.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import socket
 import struct
@@ -156,24 +157,24 @@ class ChaosProxy:
         return self
 
     def close(self) -> None:
-        """Stop accepting, kill live relays, join threads."""
+        """Stop accepting, kill live relays, join threads.
+
+        ``shutdown`` (not ``close``) is what wakes a thread blocked in
+        ``accept``/``recv`` on the socket.  Raises if a thread outlives
+        its bounded join.
+        """
         self._closing = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
         with self._lock:
             live = list(self._live)
-        for sock in live:
-            try:
+        for sock in filter(None, [self._listener, *live]):
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+            with contextlib.suppress(OSError):
                 sock.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        for handler in self._handlers:
-            handler.join(timeout=5.0)
+        for thread in filter(None, [self._accept_thread, *self._handlers]):
+            thread.join(timeout=5.0)
+            if thread.is_alive():
+                raise RuntimeError(f"{thread.name} did not exit within 5s")
 
     def __enter__(self) -> "ChaosProxy":
         return self

@@ -46,6 +46,21 @@ class TestDesignInventoryPointsAtRealModules:
                 raise AssertionError(f"DESIGN.md references unknown {dotted}")
 
 
+class TestServiceDocsFollowTheOpTable:
+    def test_design_names_the_op_table(self):
+        # The inventory test above checks that the module imports.
+        assert "`repro.service.ops`" in (REPO / "DESIGN.md").read_text()
+
+    def test_wire_protocol_lists_exactly_the_ops(self):
+        from repro.service.ops import OPS
+
+        text = (REPO / "docs" / "wire_protocol.md").read_text()
+        section = text.split("\n## Operations\n", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert len(listed) == len(set(listed)), "an op is listed twice"
+        assert set(listed) == set(OPS)
+
+
 class TestBenchTargetsExist:
     def test_every_bench_file_named_in_design_exists(self):
         text = (REPO / "DESIGN.md").read_text()

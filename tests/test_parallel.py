@@ -334,6 +334,53 @@ class TestPersistentPool:
         assert not leaked, f"shared memory leaked: {sorted(leaked)}"
 
 
+class TestInterpreterExit:
+    """A process that used persistent pools must exit on its own."""
+
+    MINE = (
+        "from repro.core.bbs import BBS\n"
+        "from repro.core.mining import mine\n"
+        "from tests.conftest import make_random_database\n"
+        "db = make_random_database(seed=23, n_transactions=150, n_items=26)\n"
+        "bbs = BBS.from_database(db, m=128)\n"
+        "assert mine(db, bbs, 0.05, 'dfp', workers=2).patterns\n"
+    )
+
+    def _exit_seconds(self, script):
+        import os
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+        )
+        started = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return time.monotonic() - started
+
+    def test_process_that_mined_with_workers_exits(self):
+        assert self._exit_seconds(self.MINE) < 20.0
+
+    def test_worker_that_never_finishes_is_terminated_at_exit(self):
+        # The pool's only worker stays busy for two minutes; without the
+        # exit hook's terminate, concurrent.futures joins it that long.
+        script = self.MINE + (
+            "import time\n"
+            "from repro.core.pool import WorkerPool\n"
+            "WorkerPool(1).submit(time.sleep, 120)\n"
+            "time.sleep(0.5)\n"
+        )
+        assert self._exit_seconds(script) < 20.0
+
+
 # ---------------------------------------------------------------------------
 # Shared-memory export lifecycle
 # ---------------------------------------------------------------------------
